@@ -81,6 +81,7 @@ object Amc {
     if (psiV <= 0.0) return PerResult(0.0)
     val etaS = etaStar(psiV, eps, tau, delta)
     var eta = ceilDiv(etaS, 1L << (tau - 1))
+    val x = Walks.score(sVec, tVec, dsInv, dtInv)
 
     var z = 0.0
     var totalWalks = 0L
@@ -90,7 +91,7 @@ object Amc {
     while (i <= tau && !done) {
       val batchSeed = repro.util.Rng.derive(seed, 0x5EEDL + i)
       val (sumZ, sumZ2) = engine.sumAndSumSq(eta, batchSeed, 2L * ellF) { (graph, rng) =>
-        Walks.zSample(graph, s, t, ellF, rng, sVec, tVec, dsInv, dtInv)
+        Walks.zSample(graph, s, t, ellF, rng, x)
       }
       totalWalks += 2L * eta // a walk from s and a walk from t per sample
       batches += 1
@@ -110,6 +111,7 @@ object Amc {
   def query(g: CsrGraph, lambda: Double, s: Int, t: Int,
             eps: Double, delta: Double, tau: Int,
             engine: WalkEngine, seed: Long): PerResult = {
+    PerResult.requireNodes(g, s, t)
     if (s == t) return PerResult(0.0)
     val ell = Ell.refined(eps, lambda, g.degree(s), g.degree(t))
     val sVec = new Array[Double](g.n); sVec(s) = 1.0

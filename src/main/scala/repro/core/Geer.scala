@@ -28,25 +28,16 @@ object Geer {
             eps: Double, delta: Double, tau: Int,
             engine: WalkEngine, seed: Long,
             ellBOverride: Option[Int] = None): PerResult = {
+    PerResult.requireNodes(g, s, t)
     if (s == t) return PerResult(0.0)
-    val ds = g.degree(s); val dt = g.degree(t)
-    val ell = Ell.refined(eps, lambda, ds, dt)
+    val ell = Ell.refined(eps, lambda, g.degree(s), g.degree(t))
 
-    val st = new Smm.State(g, s, t)
-    ellBOverride match {
+    val st = ellBOverride match {
       case Some(forced) =>
+        val st = new Smm.State(g, s, t)
         while (st.iters < math.min(forced, ell)) st.advance()
-      case None =>
-        var stop = false
-        while (!stop && st.iters < ell) {
-          st.advance()
-          if (st.iters < ell) {
-            val ellF = ell - st.iters
-            val psiV = Amc.psi(st.sStar, st.tStar, ds, dt, ellF)
-            val budget = if (psiV <= 0.0) 0L else Amc.h(psiV, eps, tau, delta)
-            stop = st.frontierCost > budget
-          }
-        }
+        st
+      case None => greedy(g, s, t, ell, eps, delta, tau)
     }
 
     val ellF = ell - st.iters
@@ -60,9 +51,15 @@ object Geer {
     * Fig. 10 experiment to center its ℓ_b sweep).
     */
   def switchPoint(g: CsrGraph, lambda: Double, s: Int, t: Int,
-                  eps: Double, delta: Double, tau: Int): Int = {
+                  eps: Double, delta: Double, tau: Int): Int =
+    greedy(g, s, t, Ell.refined(eps, lambda, g.degree(s), g.degree(t)), eps, delta, tau).iters
+
+  /** The greedy rule (Eq. 17): SMM state advanced until the next multiply
+    * costs more than `h(ℓ − ℓ_b)`, or until `ℓ` iterations.
+    */
+  private def greedy(g: CsrGraph, s: Int, t: Int, ell: Int,
+                     eps: Double, delta: Double, tau: Int): Smm.State = {
     val ds = g.degree(s); val dt = g.degree(t)
-    val ell = Ell.refined(eps, lambda, ds, dt)
     val st = new Smm.State(g, s, t)
     var stop = false
     while (!stop && st.iters < ell) {
@@ -74,7 +71,7 @@ object Geer {
         stop = st.frontierCost > budget
       }
     }
-    st.iters
+    st
   }
 }
 

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.graph.CsrGraph
+
 /** Result of one ε-approximate PER query, with cost accounting used by the
   * benchmarks (walks actually simulated, AMC batches run, SMM iterations).
   */
@@ -11,6 +13,17 @@ final case class PerResult(
     nanos: Long = 0L,
 ) {
   def millis: Double = nanos / 1e6
+}
+
+object PerResult {
+
+  /** Fails with an `IllegalArgumentException` naming `s` or `t` unless both
+    * are node ids of `g`.
+    */
+  def requireNodes(g: CsrGraph, s: Int, t: Int): Unit = {
+    require(s >= 0 && s < g.n, s"query node s = $s is not a node id in [0, ${g.n})")
+    require(t >= 0 && t < g.n, s"query node t = $t is not a node id in [0, ${g.n})")
+  }
 }
 
 /** A named PER estimator — the common shape the benchmark harness drives.

@@ -66,6 +66,15 @@ class AmcSpec extends SparkSpec {
     assert(Amc.estimate(g, 0, 1, z, z, 0.1, 5, 5, 0.01, engine, 1).estimate == 0.0)
   }
 
+  test("query rejects out-of-range node ids, naming the id") {
+    val f = TestGraphs.toy
+    Seq((-3, 1), (1, f.g.n), (f.g.n, f.g.n)).foreach { case (s, t) =>
+      val e = intercept[IllegalArgumentException](Amc.query(f.g, f.lambda, s, t, 0.1, 0.01, 5, engine, 1))
+      val bad = if (s < 0 || s >= f.g.n) s"s = $s" else s"t = $t"
+      assert(e.getMessage.contains(bad), e.getMessage)
+    }
+  }
+
   test("query returns 0 for s = t") {
     val f = TestGraphs.toy
     assert(Amc.query(f.g, f.lambda, 4, 4, 0.1, 0.01, 5, engine, 1).estimate == 0.0)

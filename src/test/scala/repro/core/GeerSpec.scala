@@ -12,6 +12,16 @@ class GeerSpec extends SparkSpec {
     assert(Geer.query(f.g, f.lambda, 3, 3, 0.1, 0.01, 5, engineFor(f.g), 1).estimate == 0.0)
   }
 
+  test("query rejects out-of-range node ids, naming the id") {
+    val f = TestGraphs.toy
+    val eng = engineFor(f.g)
+    Seq((-1, 0), (0, f.g.n), (f.g.n + 5, f.g.n + 5)).foreach { case (s, t) =>
+      val e = intercept[IllegalArgumentException](Geer.query(f.g, f.lambda, s, t, 0.1, 0.01, 5, eng, 1))
+      val bad = if (s < 0 || s >= f.g.n) s"s = $s" else s"t = $t"
+      assert(e.getMessage.contains(bad), e.getMessage)
+    }
+  }
+
   test("eps-accurate on the toy graph across eps") {
     val f = TestGraphs.toy
     val eng = engineFor(f.g)

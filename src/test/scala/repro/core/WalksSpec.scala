@@ -57,10 +57,10 @@ class WalksSpec extends SparkSpec {
     val g = GraphGen.cycle(5)
     val sVec = Array(1.0, 0.0, 0.0, 0.0, 0.0)
     val tVec = new Array[Double](5)
-    // walkSum with sCoef=1: number of times the walk visits node 0 in
+    // walkSum with x = e_0: number of times the walk visits node 0 in
     // len steps; verify against a hand-stepped walk with the same stream.
     val seedRng = Rng(9, 3)
-    val sum = Walks.walkSum(g, 2, 6, seedRng, sVec, 1.0, tVec, 1.0)
+    val sum = Walks.walkSum(g, 2, 6, seedRng, Walks.score(sVec, tVec, 1.0, 1.0))
     val replay = Rng(9, 3)
     var cur = 2
     var visits = 0
@@ -82,8 +82,83 @@ class WalksSpec extends SparkSpec {
     val q = Smm.run(g, s, t, ellF) - (dsInv + dtInv)
     val n = 400000
     var acc = 0.0
-    (0 until n).foreach(k => acc += Walks.zSample(g, s, t, ellF, Rng(11, k), sVec, tVec, dsInv, dtInv))
+    val x = Walks.score(sVec, tVec, dsInv, dtInv)
+    (0 until n).foreach(k => acc += Walks.zSample(g, s, t, ellF, Rng(11, k), x))
     assert(math.abs(acc / n - q) < 0.01, s"${acc / n} vs $q")
+  }
+
+  test("fused zSample equals the two-coefficient form on random s*/t*") {
+    val g = TestGraphs.ba300.g
+    val rnd = new scala.util.Random(5)
+    (0 until 20).foreach { trial =>
+      val s = rnd.nextInt(g.n); val t = (s + 1 + rnd.nextInt(g.n - 1)) % g.n
+      val sVec = Array.fill(g.n)(rnd.nextDouble())
+      val tVec = Array.fill(g.n)(rnd.nextDouble())
+      val dsInv = 1.0 / g.degree(s); val dtInv = 1.0 / g.degree(t)
+      val x = Walks.score(sVec, tVec, dsInv, dtInv)
+      // Each visited node scored as s(u)/d(s) − t(u)/d(t) on the s-walk and
+      // with both coefficients negated on the t-walk, on the same stream.
+      def twoCoef(start: Int, sCoef: Double, tCoef: Double, rng: Rng): Double = {
+        var cur = start; var acc = 0.0
+        (0 until 12).foreach { _ =>
+          cur = Walks.step(g, cur, rng)
+          acc += sVec(cur) * sCoef + tVec(cur) * tCoef
+        }
+        acc
+      }
+      val rng = Rng(21, trial)
+      val expect = twoCoef(s, dsInv, -dtInv, rng) + twoCoef(t, -dsInv, dtInv, rng)
+      val fused = Walks.zSample(g, s, t, 12, Rng(21, trial), x)
+      assert(math.abs(fused - expect) <= 1e-12, s"trial $trial: $fused vs $expect")
+    }
+  }
+
+  /** A batch above the pool grain, with samples of uneven cost and value. */
+  private def pooledBatch = {
+    val g = TestGraphs.ba300.g
+    val x = Array.tabulate(g.n)(u => math.sin(u.toDouble))
+    val len = 40
+    val count = 3 * WalkEngine.PoolGrain / len + 17
+    assert(count * len > WalkEngine.PoolGrain)
+    def sample(graph: repro.graph.CsrGraph, rng: Rng): Double =
+      Walks.walkSum(graph, rng.nextInt(graph.n), len, rng, x)
+    (g, count, len, sample _)
+  }
+
+  test("pooled batches are bit-identical across repeated calls") {
+    val (g, count, len, sample) = pooledBatch
+    val eng = new WalkEngine(spark, g)
+    val first = eng.sumAndSumSq(count, seed = 3, stepsPerSample = len)(sample)
+    (0 until 5).foreach(_ => assert(eng.sumAndSumSq(count, seed = 3, stepsPerSample = len)(sample) == first))
+    def vecSample(graph: repro.graph.CsrGraph, rng: Rng, acc: Array[Double]): Unit = {
+      val z = sample(graph, rng)
+      acc(0) += z; acc(1) += z * z; acc(2) += 1.0
+    }
+    val vec = eng.sumVec(count, seed = 3, dim = 3, stepsPerSample = len)(vecSample)
+    (0 until 5).foreach(_ => assert(eng.sumVec(count, seed = 3, dim = 3, stepsPerSample = len)(vecSample).toSeq == vec.toSeq))
+    assert(vec.toSeq == Seq(first._1, first._2, count.toDouble))
+  }
+
+  test("pooled batches equal the chunk-ordered reference sum") {
+    val (g, count, len, sample) = pooledBatch
+    val eng = new WalkEngine(spark, g)
+    // Documented chunking: C = min(count, Chunks) chunks, chunk c covers
+    // [c·count/C, (c+1)·count/C); partials are added in chunk order.
+    val nc = math.min(count, WalkEngine.Chunks.toLong)
+    var s = 0.0; var s2 = 0.0
+    (0L until nc).foreach { c =>
+      var ps = 0.0; var ps2 = 0.0
+      (c * count / nc until (c + 1) * count / nc).foreach { k =>
+        val z = sample(g, Rng(9, k))
+        ps += z; ps2 += z * z
+      }
+      s += ps; s2 += ps2
+    }
+    assert(eng.sumAndSumSq(count, seed = 9, stepsPerSample = len)(sample) == ((s, s2)))
+    val vec = eng.sumVec(count, seed = 9, dim = 1, stepsPerSample = len) { (graph, rng, acc) =>
+      acc(0) += sample(graph, rng)
+    }
+    assert(vec.toSeq == Seq(s))
   }
 
   test("engine local and distributed paths produce identical sums") {
