@@ -18,7 +18,6 @@ object JobSpark {
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 }
 

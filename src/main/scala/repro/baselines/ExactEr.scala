@@ -20,6 +20,7 @@ final class ExactEstimator(g: CsrGraph) extends PerEstimator {
   }
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    PerResult.requireNodes(g, s, t)
     PerResult(Dense.erFromPinv(pinv, s, t))
   }
 }

@@ -19,13 +19,14 @@ final class HayEstimator(g: CsrGraph, delta: Double, engine: WalkEngine, seed: L
   val name = "HAY"
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    PerResult.requireNodes(g, s, t)
     require(g.hasEdge(s, t), s"HAY answers edge queries only; ($s,$t) is not an edge")
     val nTrees = math.max(50L,
       math.ceil(scale * math.log(2.0 / delta) / (2.0 * eps * eps)).toLong)
     // Wilson's expected cost is the mean hitting time — O(m·n) worst case,
     // usually far less; use m as the per-sample cost hint.
-    val (hits, _) = engine.sumAndSumSq(nTrees, Rng.derive(seed, 0x57AAL), g.m) { (graph, rng) =>
-      if (Wilson.treeContainsEdge(graph, root = s, rng, s, t)) 1.0 else 0.0
+    val (hits, _) = engine.sumAndSumSq(nTrees, Rng.derive(seed, 0x57AAL), g.m) { rng =>
+      if (Wilson.treeContainsEdge(g, root = s, rng, s, t)) 1.0 else 0.0
     }
     PerResult(hits / nTrees, walks = nTrees)
   }

@@ -24,6 +24,7 @@ final class McEstimator(g: CsrGraph, delta: Double, engine: WalkEngine, seed: Lo
   val name = "MC"
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    PerResult.requireNodes(g, s, t)
     if (s == t) PerResult(0.0)
     else {
       val ds = g.degree(s)
@@ -32,12 +33,12 @@ final class McEstimator(g: CsrGraph, delta: Double, engine: WalkEngine, seed: Lo
       // Mean excursion length is 2m/d(s); cap generously above it.
       val maxSteps = math.max(1000L, (maxStepsFactor * 2.0 * g.m / ds).toLong)
       val meanLen = 2L * g.m / ds
-      val (visits, _) = engine.sumAndSumSq(eta, Rng.derive(seed, 0x4C4DL), meanLen) { (graph, rng) =>
-        var cur = Walks.step(graph, s, rng)
+      val (visits, _) = engine.sumAndSumSq(eta, Rng.derive(seed, 0x4C4DL), meanLen) { rng =>
+        var cur = Walks.step(g, s, rng)
         var steps = 1L
         var sawT = cur == t
         while (cur != s && steps < maxSteps) {
-          cur = Walks.step(graph, cur, rng)
+          cur = Walks.step(g, cur, rng)
           steps += 1
           if (cur == t) sawT = true
         }

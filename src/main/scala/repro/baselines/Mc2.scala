@@ -23,18 +23,19 @@ final class Mc2Estimator(g: CsrGraph, delta: Double, engine: WalkEngine, seed: L
   val name = "MC2"
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    PerResult.requireNodes(g, s, t)
     require(g.hasEdge(s, t), s"MC2 answers edge queries only; ($s,$t) is not an edge")
     val gamma = 1.0 / math.min(g.degree(s), g.degree(t))
     val etaFaithful = 3.0 * math.log(1.0 / delta) / (eps * eps * gamma)
     val eta = math.max(100L, math.ceil(etaFaithful * scale).toLong)
     val maxSteps = math.max(1000L, (maxStepsFactor * 2.0 * g.m).toLong)
-    val (hits, _) = engine.sumAndSumSq(eta, Rng.derive(seed, 0x4D32L), 2L * g.m) { (graph, rng) =>
+    val (hits, _) = engine.sumAndSumSq(eta, Rng.derive(seed, 0x4D32L), 2L * g.m) { rng =>
       var prev = s
-      var cur = Walks.step(graph, s, rng)
+      var cur = Walks.step(g, s, rng)
       var steps = 1L
       while (cur != t && steps < maxSteps) {
         prev = cur
-        cur = Walks.step(graph, cur, rng)
+        cur = Walks.step(g, cur, rng)
         steps += 1
       }
       if (cur == t && prev == s) 1.0 else 0.0

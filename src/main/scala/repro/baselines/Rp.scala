@@ -52,6 +52,7 @@ final class RpEstimator(g: CsrGraph, eps0: Double, seed: Long, kCap: Int = 2000)
   }
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    PerResult.requireNodes(g, s, t)
     var acc = 0.0
     var j = 0
     while (j < k) {

@@ -24,6 +24,7 @@ final class TpEstimator(g: CsrGraph, lambda: Double, delta: Double,
   val name = "TP"
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    PerResult.requireNodes(g, s, t)
     if (s == t) PerResult(0.0)
     else {
       val ell = Ell.peng(eps, lambda)
@@ -52,8 +53,8 @@ final class TpEstimator(g: CsrGraph, lambda: Double, delta: Double,
     */
   private def endpointHits(s: Int, t: Int, start: Int, len: Int,
                            eta: Long, batchSeed: Long): Array[Double] =
-    engine.sumVec(eta, batchSeed, dim = 2, stepsPerSample = len) { (graph, rng, acc) =>
-      val end = Walks.endpoint(graph, start, len, rng)
+    engine.sumVec(eta, batchSeed, dim = 2, stepsPerSample = len) { (rng, acc) =>
+      val end = Walks.endpoint(g, start, len, rng)
       if (end == s) acc(0) += 1.0
       if (end == t) acc(1) += 1.0
     }

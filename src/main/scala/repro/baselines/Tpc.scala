@@ -30,6 +30,7 @@ final class TpcEstimator(g: CsrGraph, lambda: Double, delta: Double,
   val name = "TPC"
 
   def query(s: Int, t: Int, eps: Double): PerResult = timed {
+    PerResult.requireNodes(g, s, t)
     if (s == t) PerResult(0.0)
     else {
       val ell = Ell.peng(eps, lambda)

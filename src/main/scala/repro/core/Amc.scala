@@ -66,7 +66,7 @@ object Amc {
     *                  standalone query; SMM's `s*`/`t*` inside GEER)
     * @param ellF      maximum walk length (`ℓ` standalone, `ℓ − ℓ_b` in GEER)
     * @param tau       number of doubling batches
-    * @param engine    walk fan-out engine (local or Spark path)
+    * @param engine    walk fan-out engine
     * @param seed      base randomness for this query
     */
   def estimate(g: CsrGraph, s: Int, t: Int,
@@ -90,8 +90,8 @@ object Amc {
     var done = false
     while (i <= tau && !done) {
       val batchSeed = repro.util.Rng.derive(seed, 0x5EEDL + i)
-      val (sumZ, sumZ2) = engine.sumAndSumSq(eta, batchSeed, 2L * ellF) { (graph, rng) =>
-        Walks.zSample(graph, s, t, ellF, rng, x)
+      val (sumZ, sumZ2) = engine.sumAndSumSq(eta, batchSeed, 2L * ellF) { rng =>
+        Walks.zSample(g, s, t, ellF, rng, x)
       }
       totalWalks += 2L * eta // a walk from s and a walk from t per sample
       batches += 1

@@ -28,7 +28,8 @@ object PerResult {
 
 /** A named PER estimator — the common shape the benchmark harness drives.
   * Implementations capture the graph (and any preprocessing such as λ) at
-  * construction time; `query` answers one pair at error threshold ε.
+  * construction time; `query` answers one pair at error threshold ε and
+  * first checks both ids with [[PerResult.requireNodes]].
   */
 trait PerEstimator {
   def name: String

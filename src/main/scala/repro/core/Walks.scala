@@ -10,130 +10,83 @@ import repro.util.Rng
   *
   * All randomized estimators (AMC, TP, TPC, MC, MC2, HAY) reduce to "draw
   * `count` i.i.d. samples, each a deterministic function of a [[Rng]]
-  * stream, and sum them". Sample `k` always uses the stream `Rng(seed, k)`,
-  * so every path below draws identical samples; only the order in which
-  * their sums are added differs between the local and the Spark path.
+  * stream, and sum them". Sample `k` always uses the stream `Rng(seed, k)`.
   *
-  * Which path runs, by the batch's expected work `count × stepsPerSample`:
+  * Both sums are one chunked reduction in the calling JVM. It splits
+  * samples `0 until count` into `C = min(count, WalkEngine.Chunks)`
+  * chunks; chunk `c` covers `[c·count/C, (c+1)·count/C)`, and its partial
+  * sum is added to the total in chunk order. A batch of up to
+  * [[WalkEngine.PoolGrain]] (2^13^) expected steps runs its chunks one
+  * after another on the caller thread; a larger one runs them on
+  * [[WalkEngine]]'s shared ForkJoin pool, one thread per core. The
+  * boundaries depend only on `count`, so the inline and the pooled runs
+  * give the same bits, on any number of cores.
   *
-  *  - up to [[WalkEngine.PoolGrain]] (2^13^ steps): the local chunked
-  *    reduction, its chunks run one after another on the caller thread;
-  *  - above that and up to [[localStepThreshold]]: the same chunks run on
-  *    [[WalkEngine]]'s shared ForkJoin pool, one thread per core;
-  *  - above [[localStepThreshold]]: a Spark job over a broadcast CSR graph,
-  *    `defaultParallelism` partitions, partition sums reduced in completion
-  *    order.
+  * The pool beat the inline run from 2^12^ steps on youtube-lite (2^10^ on
+  * orkut-lite, 4 cores); [[WalkEngine.PoolGrain]] sits one doubling above
+  * that. A Spark job over the same batches, swept from 2^18^ to 2^36.6^
+  * steps per batch on the same cores, never ran reliably faster than the
+  * pool, so batches never leave this JVM.
   *
-  * The local reduction splits samples `0 until count` into
-  * `C = min(count, WalkEngine.Chunks)` chunks; chunk `c` covers
-  * `[c·count/C, (c+1)·count/C)`, and its partial sum is added to the total
-  * in chunk order. The boundaries depend only on `count`, so the inline and
-  * the pooled runs give the same bits, on any number of cores.
-  *
-  * The default threshold is `Long.MaxValue`, so the Spark path runs only
-  * when a caller passes a finite threshold. Batches of AMC walk pairs swept
-  * from 2^18^ to 2^30^ steps on the youtube-lite and orkut-lite analogs
-  * (4 cores, `local[*]`) ran 1.04–8.6× slower as a Spark job than on the
-  * pool. The gap closes as batches grow, since both run on the same cores:
-  * at 2^35.7^–2^36.6^ steps (standalone AMC, τ = 1, ε = 0.02 on dblp-lite)
-  * the two tie within ±5%, so no size was found where the Spark job is
-  * reliably faster. The pool itself beat the inline run from 2^12^ steps
-  * on (2^10^ on orkut-lite); [[WalkEngine.PoolGrain]] sits one doubling
-  * above that.
+  * Neither constructor argument is read: samples close over the graph they
+  * walk. Both stay so that existing callers construct the engine as before.
   */
-final class WalkEngine(spark: SparkSession, g: CsrGraph,
-                       val localStepThreshold: Long = Long.MaxValue) extends Serializable {
+final class WalkEngine(spark: SparkSession, g: CsrGraph) {
 
-  @transient private lazy val bcast = spark.sparkContext.broadcast(g)
+  /** Always `Long.MaxValue`: no batch leaves this JVM. It exists only
+    * because the benchmark in `perfbench/` reads it to count steps on the
+    * Spark path, which this value makes "never".
+    */
+  val localStepThreshold: Long = Long.MaxValue
 
-  /** Number of partitions for distributed sampling. */
-  private def slices: Int = spark.sparkContext.defaultParallelism
-
-  /** Σ f and Σ f² of `count` samples; `stepsPerSample` is only a cost hint
-    * for choosing the execution path.
+  /** Σ f and Σ f² of `count` samples; `stepsPerSample` is a cost hint that
+    * decides between the inline and the pooled run.
     *
-    * `sample` runs concurrently on several threads (pool or Spark tasks),
-    * so it may write only values it allocates itself.
+    * `sample` runs concurrently on several pool threads, so it may write
+    * only values it allocates itself.
     */
   def sumAndSumSq(count: Long, seed: Long, stepsPerSample: Long)
-                 (sample: (CsrGraph, Rng) => Double): (Double, Double) = {
-    val work = count * math.max(stepsPerSample, 1L)
-    if (work <= localStepThreshold) {
-      val r = WalkEngine.reduceChunks(count, work, 2) { (lo, hi, acc) =>
-        var s = 0.0; var s2 = 0.0
-        var k = lo
-        while (k < hi) {
-          val z = sample(g, Rng(seed, k))
-          s += z; s2 += z * z
-          k += 1
-        }
-        acc(0) = s; acc(1) = s2
+                 (sample: Rng => Double): (Double, Double) = {
+    val r = WalkEngine.reduceChunks(count, count * math.max(stepsPerSample, 1L), 2) { (lo, hi, acc) =>
+      var s = 0.0; var s2 = 0.0
+      var k = lo
+      while (k < hi) {
+        val z = sample(Rng(seed, k))
+        s += z; s2 += z * z
+        k += 1
       }
-      (r(0), r(1))
-    } else {
-      val b = bcast
-      spark.sparkContext.range(0L, count, numSlices = slices)
-        .mapPartitions { it =>
-          val graph = b.value
-          var s = 0.0; var s2 = 0.0
-          it.foreach { k =>
-            val z = sample(graph, Rng(seed, k))
-            s += z; s2 += z * z
-          }
-          Iterator.single((s, s2))
-        }
-        .reduce { case ((a, a2), (c, c2)) => (a + c, a2 + c2) }
+      acc(0) = s; acc(1) = s2
     }
+    (r(0), r(1))
   }
 
   /** Element-wise sum of `count` sampled vectors of dimension `dim`;
     * `sample` accumulates its contribution into the passed array (one per
-    * chunk or partition, reused across its samples to avoid per-sample
-    * allocation).
+    * chunk, reused across its samples to avoid per-sample allocation).
     *
-    * `sample` runs concurrently on several threads (pool or Spark tasks),
-    * so it may write only the passed array and values it allocates itself.
+    * `sample` runs concurrently on several pool threads, so it may write
+    * only the passed array and values it allocates itself.
     */
   def sumVec(count: Long, seed: Long, dim: Int, stepsPerSample: Long)
-            (sample: (CsrGraph, Rng, Array[Double]) => Unit): Array[Double] = {
-    val work = count * math.max(stepsPerSample, 1L)
-    if (work <= localStepThreshold) {
-      WalkEngine.reduceChunks(count, work, dim) { (lo, hi, acc) =>
-        var k = lo
-        while (k < hi) { sample(g, Rng(seed, k), acc); k += 1 }
-      }
-    } else {
-      val b = bcast
-      spark.sparkContext.range(0L, count, numSlices = slices)
-        .mapPartitions { it =>
-          val graph = b.value
-          val acc = new Array[Double](dim)
-          it.foreach(k => sample(graph, Rng(seed, k), acc))
-          Iterator.single(acc)
-        }
-        .reduce { (x, y) =>
-          var i = 0
-          while (i < dim) { x(i) += y(i); i += 1 }
-          x
-        }
+            (sample: (Rng, Array[Double]) => Unit): Array[Double] =
+    WalkEngine.reduceChunks(count, count * math.max(stepsPerSample, 1L), dim) { (lo, hi, acc) =>
+      var k = lo
+      while (k < hi) { sample(Rng(seed, k), acc); k += 1 }
     }
-  }
 }
 
 object WalkEngine {
 
-  /** Most chunks a local batch is split into. */
+  /** Most chunks a batch is split into. */
   final val Chunks = 64
 
   /** Expected walk steps of a batch above which its chunks run on [[pool]]. */
   final val PoolGrain = 1L << 13
 
-  /** Daemon work-stealing pool shared by all engines, one thread per core.
-    * It lives here, not in an engine, so Spark closures never capture it.
-    */
+  /** Daemon work-stealing pool shared by all engines, one thread per core. */
   private lazy val pool = new ForkJoinPool(Runtime.getRuntime.availableProcessors)
 
-  /** The local reduction behind both sums, for a batch of `work` expected
+  /** The reduction behind both sums, for a batch of `work` expected
     * steps. `chunk(lo, hi, acc)` adds samples `lo until hi` into the zeroed
     * `width`-long `acc`; the result is the element-wise sum of the chunks'
     * `acc`s, added in chunk order.

@@ -1,8 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-
 /** Spectral preprocessing: estimates `λ = max{|λ₂|, |λ_n|}` of the
   * transition matrix `P = D⁻¹A` (the quantity both ℓ formulas need,
   * §3.1 — the paper computes it once per graph with ARPACK).
@@ -17,7 +14,7 @@ import org.apache.spark.sql.functions._
   */
 object Spectral {
 
-  /** Local CSR implementation. Deterministic (fixed start vector).
+  /** Deterministic (fixed start vector).
     *
     * @param tol     convergence tolerance on successive λ estimates
     * @param maxIter cap on the number of N² applications
@@ -89,76 +86,5 @@ object Spectral {
       var i = 0
       while (i < x.length) { x(i) /= norm; i += 1 }
     }
-  }
-
-  // ------------------------------------------------------ distributed form
-
-  /** Distributed λ estimation over an edge DataFrame: the same deflated
-    * power iteration on `N²`, with each `N·x` a Spark SQL join/aggregate.
-    * Used to demonstrate the preprocessing scales out; agrees with
-    * [[lambda]] (tested). `maxIter` is intentionally small — each
-    * iteration is a distributed job.
-    */
-  def lambdaDistributed(spark: SparkSession, edges: DataFrame,
-                        tol: Double = 1e-7, maxIter: Int = 200): Double = {
-    import spark.implicits._
-    val sym = GraphOps.symmetrize(edges).cache()
-    val deg = GraphOps.degrees(sym).cache()
-    val twoM = deg.agg(sum("degree")).as[Long].head().toDouble
-    // Weighted edges of N: w = 1 / sqrt(d(src) d(dst))
-    val dSrc = deg.select(col("id").as("src"), col("degree").as("dsrc"))
-    val dDst = deg.select(col("id").as("dst"), col("degree").as("ddst"))
-    val nEdges = sym.join(dSrc, "src").join(dDst, "dst")
-      .select(col("src"), col("dst"),
-        (lit(1.0) / sqrt(col("dsrc").cast("double") * col("ddst"))).as("w"))
-      .cache()
-    nEdges.count()
-    // u1(v) = sqrt(d(v) / 2m)
-    val u1 = deg.select(col("id"), sqrt(col("degree") / lit(twoM)).as("u1")).cache()
-
-    def applyN(x: DataFrame): DataFrame =
-      nEdges.join(x, nEdges("dst") === x("id"))
-        .select(nEdges("src").as("id"), (col("w") * col("value")).as("c"))
-        .groupBy("id").agg(sum("c").as("value"))
-
-    // One aggregation per iteration: with ||u1|| = 1, the deflated norm is
-    // sqrt(Σv² − dot²) where dot = Σ v·u1 — no second pass needed.
-    def deflateNorm(x: DataFrame): (DataFrame, Double, DataFrame) = {
-      val withU = u1.join(x, Seq("id"), "left")
-        .select(col("id"), col("u1"), coalesce(col("value"), lit(0.0)).as("value"))
-        .cache()
-      val row = withU.agg(
-        sum(col("value") * col("u1")).as("dot"),
-        sum(col("value") * col("value")).as("sq")).head()
-      val dot = row.getDouble(0)
-      val sq = row.getDouble(1)
-      val norm = math.sqrt(math.max(sq - dot * dot, 0.0))
-      val defl = withU.select(col("id"),
-        ((col("value") - lit(dot) * col("u1")) / lit(norm)).as("value"))
-      (defl, norm, withU)
-    }
-
-    // localCheckpoint (eager) truncates the logical plan — without it the
-    // per-iteration lineage keeps growing and Catalyst re-analysis time
-    // blows up long before the jobs themselves do.
-    def materialize(x: DataFrame): (DataFrame, Double) = {
-      val (defl, norm, scratch) = deflateNorm(x)
-      val cached = defl.localCheckpoint(true)
-      scratch.unpersist()
-      (cached, norm)
-    }
-
-    var x = materialize(u1.select(col("id"), (rand(42) - lit(0.5)).as("value")))._1
-    var est = 0.0; var prev = -1.0; var it = 0
-    while (it < maxIter && math.abs(est - prev) > tol) {
-      prev = est
-      val (newX, norm) = materialize(applyN(applyN(x)))
-      x.unpersist()
-      x = newX
-      est = norm
-      it += 1
-    }
-    sym.unpersist(); deg.unpersist(); nEdges.unpersist(); u1.unpersist(); x.unpersist()
-    math.min(math.sqrt(math.max(est, 0.0)), 1.0 - 1e-12)
   }
 }

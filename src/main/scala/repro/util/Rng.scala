@@ -4,12 +4,11 @@ package repro.util
   *
   * Every random draw in the reproduction is derived from an explicit
   * `(seed, stream)` pair so that results are deterministic regardless of
-  * Spark partitioning or thread scheduling: sample `k` of a batch draws
-  * from its own stream `Rng(batchSeed, k)`, whichever partition, chunk or
-  * thread runs it, so distributed and local execution of the same batch
-  * produce identical walk samples.
+  * thread scheduling: sample `k` of a batch draws from its own stream
+  * `Rng(batchSeed, k)`, whichever chunk or thread runs it, so inline and
+  * pooled runs of the same batch produce identical walk samples.
   */
-final class Rng(seed0: Long) extends Serializable {
+final class Rng(seed0: Long) {
   private var state: Long = seed0
 
   @inline private def nextLong(): Long = {

@@ -53,6 +53,26 @@ class EndToEndSpec extends SparkSpec {
     }
   }
 
+  test("every estimator rejects out-of-range node ids, naming the id") {
+    val n = f.g.n
+    val estimators: Seq[PerEstimator] = Seq(
+      new GeerEstimator(f.g, f.lambda, 0.01, 5, eng, seed = 1),
+      new AmcEstimator(f.g, f.lambda, 0.01, 5, eng, seed = 2),
+      new SmmEstimator(f.g, f.lambda),
+      new TpEstimator(f.g, f.lambda, 0.01, eng, seed = 3),
+      new TpcEstimator(f.g, f.lambda, 0.01, seed = 4),
+      new McEstimator(f.g, 0.01, eng, seed = 5),
+      new Mc2Estimator(f.g, 0.01, eng, seed = 6),
+      new HayEstimator(f.g, 0.01, eng, seed = 7),
+      new RpEstimator(f.g, eps0 = 0.5, seed = 8, kCap = 4),
+      new ExactEstimator(f.g),
+    )
+    for (est <- estimators; ((s, t), bad) <- Seq(((-1, 0), "s = -1"), ((0, n), s"t = $n"))) {
+      val e = intercept[IllegalArgumentException](est.query(s, t, 0.2))
+      assert(e.getMessage.contains(bad), s"${est.name} ($s,$t): ${e.getMessage}")
+    }
+  }
+
   test("ground-truth strategies agree: pinv vs SMM-1000") {
     TestGraphs.pairs(f.g, 6).foreach { case (s, t) =>
       assert(math.abs(Smm.groundTruth(f.g, s, t) - f.exactEr(s, t)) < 1e-6)

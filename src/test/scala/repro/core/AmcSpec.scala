@@ -145,13 +145,6 @@ class AmcSpec extends SparkSpec {
     assert(a.estimate == b.estimate && a.walks == b.walks)
   }
 
-  test("distributed walk path gives an equally accurate estimate") {
-    val f = TestGraphs.toy
-    val engDist = new WalkEngine(spark, f.g, localStepThreshold = 0L)
-    val r = Amc.query(f.g, f.lambda, 0, 1, 0.2, 0.01, 5, engDist, seed = 21)
-    assert(math.abs(r.estimate - f.exactEr(0, 1)) <= 0.2)
-  }
-
   test("AmcEstimator wraps query with timing") {
     val f = TestGraphs.toy
     val est = new AmcEstimator(f.g, f.lambda, 0.01, 5, engine, seed = 1)

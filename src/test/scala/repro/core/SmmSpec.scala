@@ -1,9 +1,10 @@
 package repro.core
 
-import repro.{SparkSpec, TestGraphs}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 import repro.graph.GraphGen
 
-class SmmSpec extends SparkSpec {
+class SmmSpec extends AnyFunSuite {
 
   test("State initial value is the i=0 term") {
     val g = GraphGen.toyFig2
@@ -110,24 +111,5 @@ class SmmSpec extends SparkSpec {
     val errs = Seq(2, 6, 12, 24).map(l => math.abs(exact - Smm.run(f.g, s, t, l)))
     assert(errs.zip(errs.tail).forall { case (a, b) => b <= a + 1e-12 },
       s"residuals not decreasing: $errs")
-  }
-
-  test("distributed SMM agrees with local SMM (toy graph)") {
-    val g = GraphGen.toyFig2
-    val edges = GraphGen.toEdgeDf(spark, g)
-    Seq((0, 1), (2, 9)).foreach { case (s, t) =>
-      val local = Smm.run(g, s, t, 5)
-      val dist = Smm.runDistributed(spark, edges, s, t, 5)
-      assert(math.abs(local - dist) < 1e-9, s"($s,$t): local=$local dist=$dist")
-    }
-  }
-
-  test("distributed SMM agrees with local SMM (ER graph)") {
-    val g = GraphGen.erdosRenyi(80, 0.08, seed = 6)
-    val edges = GraphGen.toEdgeDf(spark, g)
-    val (s, t) = (1, 40)
-    val local = Smm.run(g, s, t, 4)
-    val dist = Smm.runDistributed(spark, edges, s, t, 4)
-    assert(math.abs(local - dist) < 1e-9)
   }
 }

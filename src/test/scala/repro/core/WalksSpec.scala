@@ -120,8 +120,7 @@ class WalksSpec extends SparkSpec {
     val len = 40
     val count = 3 * WalkEngine.PoolGrain / len + 17
     assert(count * len > WalkEngine.PoolGrain)
-    def sample(graph: repro.graph.CsrGraph, rng: Rng): Double =
-      Walks.walkSum(graph, rng.nextInt(graph.n), len, rng, x)
+    def sample(rng: Rng): Double = Walks.walkSum(g, rng.nextInt(g.n), len, rng, x)
     (g, count, len, sample _)
   }
 
@@ -130,8 +129,8 @@ class WalksSpec extends SparkSpec {
     val eng = new WalkEngine(spark, g)
     val first = eng.sumAndSumSq(count, seed = 3, stepsPerSample = len)(sample)
     (0 until 5).foreach(_ => assert(eng.sumAndSumSq(count, seed = 3, stepsPerSample = len)(sample) == first))
-    def vecSample(graph: repro.graph.CsrGraph, rng: Rng, acc: Array[Double]): Unit = {
-      val z = sample(graph, rng)
+    def vecSample(rng: Rng, acc: Array[Double]): Unit = {
+      val z = sample(rng)
       acc(0) += z; acc(1) += z * z; acc(2) += 1.0
     }
     val vec = eng.sumVec(count, seed = 3, dim = 3, stepsPerSample = len)(vecSample)
@@ -149,47 +148,27 @@ class WalksSpec extends SparkSpec {
     (0L until nc).foreach { c =>
       var ps = 0.0; var ps2 = 0.0
       (c * count / nc until (c + 1) * count / nc).foreach { k =>
-        val z = sample(g, Rng(9, k))
+        val z = sample(Rng(9, k))
         ps += z; ps2 += z * z
       }
       s += ps; s2 += ps2
     }
     assert(eng.sumAndSumSq(count, seed = 9, stepsPerSample = len)(sample) == ((s, s2)))
-    val vec = eng.sumVec(count, seed = 9, dim = 1, stepsPerSample = len) { (graph, rng, acc) =>
-      acc(0) += sample(graph, rng)
+    val vec = eng.sumVec(count, seed = 9, dim = 1, stepsPerSample = len) { (rng, acc) =>
+      acc(0) += sample(rng)
     }
     assert(vec.toSeq == Seq(s))
-  }
-
-  test("engine local and distributed paths produce identical sums") {
-    val g = toy
-    val eng = new WalkEngine(spark, g, localStepThreshold = Long.MaxValue)
-    val engDist = new WalkEngine(spark, g, localStepThreshold = 0L)
-    def sample(graph: repro.graph.CsrGraph, rng: Rng): Double =
-      Walks.endpoint(graph, 0, 5, rng).toDouble
-    val (a, a2) = eng.sumAndSumSq(5000, seed = 13, stepsPerSample = 5)(sample)
-    val (b, b2) = engDist.sumAndSumSq(5000, seed = 13, stepsPerSample = 5)(sample)
-    assert(math.abs(a - b) < 1e-6 && math.abs(a2 - b2) < 1e-6)
-  }
-
-  test("engine sumVec local and distributed agree") {
-    val g = toy
-    val eng = new WalkEngine(spark, g, localStepThreshold = Long.MaxValue)
-    val engDist = new WalkEngine(spark, g, localStepThreshold = 0L)
-    def sample(graph: repro.graph.CsrGraph, rng: Rng, acc: Array[Double]): Unit = {
-      val e = Walks.endpoint(graph, 1, 4, rng)
-      acc(e % 3) += 1.0
-    }
-    val a = eng.sumVec(3000, seed = 17, dim = 3, stepsPerSample = 4)(sample)
-    val b = engDist.sumVec(3000, seed = 17, dim = 3, stepsPerSample = 4)(sample)
-    assert(a.toSeq == b.toSeq)
-    assert(a.sum == 3000.0)
   }
 
   test("engine respects count: sums scale linearly-ish") {
     val g = TestGraphs.complete10.g
     val eng = new WalkEngine(spark, g)
-    val (one, _) = eng.sumAndSumSq(1000, 3, 1)((_, _) => 1.0)
+    val (one, _) = eng.sumAndSumSq(1000, 3, 1)(_ => 1.0)
     assert(one == 1000.0)
+    // Every sample lands in exactly one of three bins.
+    val bins = eng.sumVec(3000, seed = 17, dim = 3, stepsPerSample = 4) { (rng, acc) =>
+      acc(Walks.endpoint(g, 1, 4, rng) % 3) += 1.0
+    }
+    assert(bins.sum == 3000.0)
   }
 }

@@ -61,6 +61,11 @@ class CsrGraphSpec extends AnyFunSuite with PropSamples {
   test("undirectedEdges emits each edge once with src < dst") {
     val edges = triangle.undirectedEdges.toSeq
     assert(edges.sorted == Seq((0, 1), (0, 2), (1, 2)))
+    // Rebuilding from the edge list reproduces the CSR arrays.
+    val toy = GraphGen.toyFig2
+    val back = CsrGraph.fromEdges(toy.n, toy.undirectedEdges.toSeq)
+    assert(back.offsets.toSeq == toy.offsets.toSeq)
+    assert(back.neighbors.toSeq == toy.neighbors.toSeq)
   }
 
   test("connectivity: path is connected, two components are not") {
